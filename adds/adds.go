@@ -53,7 +53,7 @@ type (
 	// Matrix is a general path matrix at a program point.
 	Matrix = pathmatrix.Matrix
 	// SummaryTable holds per-function interprocedural summaries (see
-	// WithSummaries); its Computed/Reused fields report cache behavior.
+	// SetEngineSummaries); its Computed/Reused fields report cache behavior.
 	SummaryTable = pathmatrix.SummaryTable
 	// DepGraph is a loop dependence graph.
 	DepGraph = depgraph.Graph

@@ -35,10 +35,8 @@ func EngineMemoEnabled() bool { return pathmatrix.Memoize }
 // SetEngineSummaries enables or disables compositional interprocedural
 // analysis globally (pathmatrix.Summarize) and reports the previous setting.
 // With summaries off, every call statement applies the opaque all-args
-// havoc. Changing this changes analysis results for multi-function programs;
-// prefer the per-analysis WithSummaries option, which also serializes
-// correctly against concurrent analyses. Not synchronized: flip it only
-// between runs.
+// havoc. Changing this changes analysis results for multi-function programs.
+// Not synchronized: flip it only between runs.
 func SetEngineSummaries(on bool) (prev bool) {
 	prev = pathmatrix.Summarize
 	pathmatrix.Summarize = on
@@ -53,10 +51,11 @@ func EngineSummariesEnabled() bool { return pathmatrix.Summarize }
 func ResetEngineSummaryCache() { pathmatrix.ResetSummaryCache() }
 
 // SetEngineLiveness enables or disables the engine's interleaved liveness
-// pass globally and reports the previous setting. Unlike the memo this
-// changes analysis results (dead-variable facts are dropped); prefer the
-// per-analysis WithLiveness option, which also serializes correctly against
-// concurrent analyses. Not synchronized: flip it only between runs.
+// pass globally and reports the previous setting: relations between dead
+// pointer variables are dropped mid-fixpoint, bounding matrix growth on
+// hostile programs at the cost of conservative answers for dead variables
+// (the oracles fall back automatically). Unlike the memo this changes
+// analysis results. Not synchronized: flip it only between runs.
 func SetEngineLiveness(on bool) (prev bool) {
 	prev = pathmatrix.Liveness
 	pathmatrix.Liveness = on

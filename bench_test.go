@@ -277,29 +277,17 @@ func BenchmarkAnalyzeProgramSerial(b *testing.B) { benchAnalyzeProgram(b, 1) }
 // BenchmarkAnalyzeProgramSerial (per-function analyses are independent).
 func BenchmarkAnalyzeProgramParallel(b *testing.B) { benchAnalyzeProgram(b, 0) }
 
-// BenchmarkAnalyzeShift compares the path-matrix engine with and without
-// hash-consing: the interned mode memoizes path renderings and shares
-// canonical slices, and should allocate far less per analysis.
+// BenchmarkAnalyzeShift measures one path-matrix analysis of the paper's
+// shift loop: the per-analysis cost and allocation baseline of the engine.
 func BenchmarkAnalyzeShift(b *testing.B) {
 	info := types.MustCheck(parser.MustParse(exper.ShiftSrc))
-	fi := info.Func("shift")
-	for _, mode := range []struct {
-		name   string
-		intern bool
-	}{{"interned", true}, {"naive", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			old := pathmatrix.Interning
-			pathmatrix.Interning = mode.intern
-			defer func() { pathmatrix.Interning = old }()
-			g := norm.Build(fi, info.Env)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if r := pathmatrix.Analyze(g, info.Env); r == nil {
-					b.Fatal("nil result")
-				}
-			}
-		})
+	g := norm.Build(info.Func("shift"), info.Env)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := pathmatrix.Analyze(g, info.Env); r == nil {
+			b.Fatal("nil result")
+		}
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 )
 
 // setBounds temporarily overrides the domain bounds.
-func setBounds(t testing.TB, countCap, maxSteps, entrySize int) {
+func setBounds(t testing.TB, cc, ms, es int) {
 	t.Helper()
-	oc, om, oe := CountCap, MaxSteps, EntrySize
-	CountCap, MaxSteps, EntrySize = countCap, maxSteps, entrySize
-	t.Cleanup(func() { CountCap, MaxSteps, EntrySize = oc, om, oe })
+	oc, om, oe := countCap, maxSteps, entrySize
+	countCap, maxSteps, entrySize = cc, ms, es
+	t.Cleanup(func() { countCap, maxSteps, entrySize = oc, om, oe })
 }
 
 // TestAblationCountCapOne: even with the tightest count widening the shift

@@ -78,7 +78,6 @@ func widenedIterationMatrix(g *norm.Graph) *Matrix {
 	for _, v := range m.Violations() {
 		out.addViolation(v)
 	}
-	m.release()
 	return out
 }
 
@@ -237,9 +236,7 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 				if acc == nil {
 					acc = st.Clone()
 				} else {
-					joined := Join(acc, st)
-					acc.release()
-					acc = joined
+					acc = Join(acc, st)
 				}
 			}
 		}
@@ -259,7 +256,6 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 	inWork[g.Entry.ID] = true
 	visits := make([]int, len(g.Nodes))
 	var widened *Matrix
-	var dead []*Matrix
 	iter := 0
 	for head < len(work) {
 		if iter++; iter > maxIterations {
@@ -308,11 +304,6 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 		res.Before[n.ID] = before
 		res.After[n.ID] = after
 
-		// Matrices superseded on this node's out-edges. Their only remaining
-		// references (this node's edgeOut slots and the res slots overwritten
-		// above) are gone once the loop below finishes, so they can be
-		// recycled — except the shared widened matrix and the current after.
-		dead = dead[:0]
 		for si, succ := range n.Succs {
 			out := after
 			if n.Kind == norm.NodeBranch && visits[n.ID] <= nodeVisitBudget {
@@ -320,34 +311,12 @@ func analyzeFull(ctx context.Context, g *norm.Graph, env *shape.Env, opts *analy
 			}
 			old := edgeOut[n.ID][si]
 			if old != nil && old.Equal(out) {
-				if out != after && out != widened {
-					out.release() // freshly refined, discarded, unreferenced
-				}
 				continue
 			}
 			edgeOut[n.ID][si] = out
-			if old != nil && old != after && old != widened {
-				dead = append(dead, old)
-			}
 			if !inWork[succ.ID] {
 				work = append(work, succ)
 				inWork[succ.ID] = true
-			}
-		}
-		for i, d := range dead {
-			still := false
-			for _, e := range edgeOut[n.ID] {
-				if e == d {
-					still = true
-				}
-			}
-			for _, e := range dead[:i] {
-				if e == d {
-					still = true // duplicate edge state, released already
-				}
-			}
-			if !still {
-				d.release()
 			}
 		}
 	}
@@ -642,9 +611,7 @@ func (r *Result) IterationMatrix(l *norm.Loop) *Matrix {
 					if before == nil {
 						before = edgeOut[p.ID][si].Clone()
 					} else {
-						joined := Join(before, edgeOut[p.ID][si])
-						before.release()
-						before = joined
+						before = Join(before, edgeOut[p.ID][si])
 					}
 				}
 			}
@@ -676,9 +643,7 @@ func (r *Result) IterationMatrix(l *norm.Loop) *Matrix {
 				if result == nil {
 					result = out.Clone()
 				} else {
-					joined := Join(result, out)
-					result.release()
-					result = joined
+					result = Join(result, out)
 				}
 				continue
 			}

@@ -103,12 +103,12 @@ func TestMemoHitsOnRepeat(t *testing.T) {
 	}
 }
 
-// TestMemoCapBounded: the LRU must never hold more than MemoCap entries
+// TestMemoCapBounded: the LRU must never hold more than memoCap entries
 // (plus shard rounding slack).
 func TestMemoCapBounded(t *testing.T) {
-	defer func(prevM bool, prevC int) { Memoize, MemoCap = prevM, prevC; memoReset() }(Memoize, MemoCap)
+	defer func(prevM bool, prevC int) { Memoize, memoCap = prevM, prevC; memoReset() }(Memoize, memoCap)
 	Memoize = true
-	MemoCap = 32
+	memoCap = 32
 	memoReset()
 	for _, file := range miniFiles(t) {
 		info := loadMini(t, file)
@@ -116,8 +116,8 @@ func TestMemoCapBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := memoLen(); n > MemoCap {
-		t.Fatalf("memo holds %d entries, cap is %d", n, MemoCap)
+	if n := memoLen(); n > memoCap {
+		t.Fatalf("memo holds %d entries, cap is %d", n, memoCap)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Matrix is a path matrix at one program point: relations between every
@@ -34,88 +33,16 @@ type Matrix struct {
 	fp string
 }
 
-// matrixPool recycles Matrix headers, and cellsPool their cell maps, across
-// the millions of intermediate states a fixed-point run creates. Only
-// provably private objects are ever returned (see release). matrixPool has
-// no New: a miss falls through to slab allocation.
-var (
-	matrixPool = sync.Pool{}
-	cellsPool  = sync.Pool{New: func() any { return make(map[[2]string]Entry, 8) }}
-	ownedPool  = sync.Pool{New: func() any { return make(map[[2]string]bool, 8) }}
-)
-
-// recycleOwned returns the matrix's ownership map to the pool. Safe whenever
-// the matrix is about to drop its mutation rights: the owned map is never
-// shared between matrices.
-func (m *Matrix) recycleOwned() {
-	if m.owned != nil {
-		clear(m.owned)
-		ownedPool.Put(m.owned)
-		m.owned = nil
-	}
-}
-
-// matrixSlab batch-allocates Matrix headers. Most headers stay live inside a
-// returned Result and can never be recycled, so allocating them one by one
-// makes every Clone an allocation; carving them from slabs amortizes that to
-// one allocation per slabSize clones.
-type matrixSlab struct {
-	buf  []Matrix
-	next int
-}
-
-const slabSize = 64
-
-var slabPool = sync.Pool{New: func() any { return &matrixSlab{buf: make([]Matrix, slabSize)} }}
-
-// getMatrix returns a zeroed Matrix header: a recycled one when available,
-// otherwise the next header from a slab.
-func getMatrix() *Matrix {
-	if v := matrixPool.Get(); v != nil {
-		return v.(*Matrix)
-	}
-	s := slabPool.Get().(*matrixSlab)
-	if s.next >= len(s.buf) {
-		s = &matrixSlab{buf: make([]Matrix, slabSize)}
-	}
-	m := &s.buf[s.next]
-	s.next++
-	slabPool.Put(s)
-	return m
-}
-
-// newMatrix builds a pooled matrix sharing the caller's vars slice (vars are
-// never mutated, so sharing is safe package-internally).
+// newMatrix builds a matrix sharing the caller's vars slice (vars are never
+// mutated, so sharing is safe package-internally). The violations map is
+// allocated lazily on the first violation.
 func newMatrix(vars []string) *Matrix {
-	m := getMatrix()
-	m.vars = vars
-	m.cells = cellsPool.Get().(map[[2]string]Entry)
-	m.viols = nil // lazily allocated on the first violation
-	m.sharedCells, m.sharedViols = false, false
-	m.owned = nil
-	m.fp = ""
-	return m
+	return &Matrix{vars: vars, cells: make(map[[2]string]Entry, 8)}
 }
 
 // NewMatrix returns an empty matrix over the variables.
 func NewMatrix(vars []string) *Matrix {
 	return newMatrix(append([]string(nil), vars...))
-}
-
-// release returns the matrix header — and its cells map, when not shared —
-// to the pools. The caller must guarantee no other reference to the header
-// exists. Entries are never recycled: they may be shared with live clones.
-func (m *Matrix) release() {
-	if m == nil {
-		return
-	}
-	if !m.sharedCells && m.cells != nil {
-		clear(m.cells)
-		cellsPool.Put(m.cells)
-	}
-	m.recycleOwned()
-	*m = Matrix{}
-	matrixPool.Put(m)
 }
 
 // Vars returns the variables, in display order.
@@ -126,9 +53,8 @@ func (m *Matrix) Vars() []string { return m.vars }
 func (m *Matrix) Clone() *Matrix {
 	engineStats.clones.Add(1)
 	m.sharedCells, m.sharedViols = true, true
-	m.recycleOwned()
-	out := getMatrix()
-	*out = Matrix{
+	m.owned = nil
+	return &Matrix{
 		vars:        m.vars,
 		cells:       m.cells,
 		viols:       m.viols,
@@ -136,7 +62,6 @@ func (m *Matrix) Clone() *Matrix {
 		sharedViols: true,
 		fp:          m.fp, // identical content, identical hash
 	}
-	return out
 }
 
 // ensureCells makes the cells map private (entries remain shared).
@@ -144,7 +69,7 @@ func (m *Matrix) ensureCells() {
 	if !m.sharedCells {
 		return
 	}
-	nc := cellsPool.Get().(map[[2]string]Entry)
+	nc := make(map[[2]string]Entry, len(m.cells))
 	for k, v := range m.cells {
 		nc[k] = v
 	}
@@ -199,7 +124,7 @@ func (m *Matrix) set(p, q string, e Entry) {
 	}
 	m.cells[k] = e
 	if m.owned == nil {
-		m.owned = ownedPool.Get().(map[[2]string]bool)
+		m.owned = make(map[[2]string]bool, 8)
 	}
 	m.owned[k] = true
 }
@@ -421,8 +346,7 @@ func sigCanonical(e Entry) bool {
 
 // setShared installs an entry owned by another matrix without granting
 // mutation rights: a later write to this cell goes through mutableEntry,
-// which clones unowned entries first. Entries are never recycled by release,
-// so the donor matrix being pooled later cannot invalidate the reference.
+// which clones unowned entries first.
 func (m *Matrix) setShared(k [2]string, e Entry) {
 	m.ensureCells()
 	m.fp = ""

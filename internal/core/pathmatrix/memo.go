@@ -24,10 +24,9 @@ import (
 // outputs are byte-identical either way.
 var Memoize = true
 
-// MemoCap bounds the number of cached transfer results (across all shards).
-// Evicted entries are dropped to the garbage collector, never recycled into
-// the matrix pools: their cell maps may be shared with live results.
-var MemoCap = 4096
+// memoCap bounds the number of cached transfer results (across all shards).
+// A variable only so tests can exercise eviction.
+var memoCap = 4096
 
 const memoShards = 16
 
@@ -39,7 +38,7 @@ type memoShard struct {
 
 type memoEntry struct {
 	key string
-	m   *Matrix // frozen: shared flags set, never mutated, never released
+	m   *Matrix // frozen: shared flags set, never mutated
 }
 
 var memo [memoShards]memoShard
@@ -74,7 +73,7 @@ func memoGet(key string) (*Matrix, bool) {
 
 func memoPut(key string, m *Matrix) {
 	s := memoShardOf(key)
-	perShard := MemoCap / memoShards
+	perShard := memoCap / memoShards
 	if perShard < 1 {
 		perShard = 1
 	}
@@ -121,8 +120,7 @@ func memoReset() {
 // hit may come from a function with a different declaration order.
 func cloneFrozen(m *Matrix, vars []string) *Matrix {
 	engineStats.clones.Add(1)
-	out := getMatrix()
-	*out = Matrix{
+	return &Matrix{
 		vars:        vars,
 		cells:       m.cells,
 		viols:       m.viols,
@@ -130,7 +128,6 @@ func cloneFrozen(m *Matrix, vars []string) *Matrix {
 		sharedViols: true,
 		fp:          m.fp,
 	}
-	return out
 }
 
 // memoKeyPrefix builds the run-invariant part of the memo key once per

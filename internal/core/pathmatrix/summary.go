@@ -63,9 +63,9 @@ import (
 // addsbench) can compare against the pure-havoc engine.
 var Summarize = true
 
-// SummaryCap bounds the process-wide summary cache (whole summaries, not
+// summaryCap bounds the process-wide summary cache (whole summaries, not
 // bytes; summaries are a few matrix rows each).
-var SummaryCap = 1024
+const summaryCap = 1024
 
 // FuncSummary is the cached entry-shape → exit-effect abstraction of one
 // function. It is frozen after construction and may be shared by any number
@@ -330,11 +330,7 @@ func summaryCachePut(key string, sum *FuncSummary) {
 		return
 	}
 	summaryCache.ent[key] = summaryCache.lru.PushFront(&summaryCacheEntry{key: key, sum: sum})
-	limit := SummaryCap
-	if limit < 1 {
-		limit = 1
-	}
-	for summaryCache.lru.Len() > limit {
+	for summaryCache.lru.Len() > summaryCap {
 		back := summaryCache.lru.Back()
 		summaryCache.lru.Remove(back)
 		delete(summaryCache.ent, back.Value.(*summaryCacheEntry).key)
@@ -362,7 +358,7 @@ func ResetSummaryCache() {
 // summary cache.
 func enginePrefix(env *shape.Env) string {
 	return EngineVersion + "\x1f" + env.Fingerprint() + "\x1f" +
-		fmt.Sprintf("%d,%d,%d,%t", CountCap, MaxSteps, EntrySize, Interning) + "\x1f"
+		fmt.Sprintf("%d,%d,%d", countCap, maxSteps, entrySize) + "\x1f"
 }
 
 // summaryKey builds the content-addressed cache key for one function:

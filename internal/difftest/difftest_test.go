@@ -14,15 +14,20 @@ import (
 )
 
 // TestDiffOneCleanSeeds: on a healthy tree every check passes over a seed
-// range for every profile — the baseline the CI smoke job scales up.
+// range for every profile — the baseline the CI smoke job scales up. One
+// parallel subtest per profile: DiffOne only reads the engine settings, and
+// the engine's process-wide caches are safe for concurrent analyses.
 func TestDiffOneCleanSeeds(t *testing.T) {
 	for _, pr := range gen.Profiles() {
-		for seed := int64(0); seed < 15; seed++ {
-			for _, d := range DiffOne(seed, pr, Config{}) {
-				t.Fatalf("profile %s seed %d check %s:\n%s\nminimized (%d stmts):\n%s",
-					pr.Name, seed, d.Check, d.Detail, d.MinStmts, d.Minimized)
+		t.Run(pr.Name, func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(0); seed < 15; seed++ {
+				for _, d := range DiffOne(seed, pr, Config{}) {
+					t.Fatalf("seed %d check %s:\n%s\nminimized (%d stmts):\n%s",
+						seed, d.Check, d.Detail, d.MinStmts, d.Minimized)
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -15,6 +15,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -200,10 +202,24 @@ func (c *Cache) flightContext() (context.Context, context.CancelFunc) {
 	return context.WithCancel(context.Background())
 }
 
-// runFlight executes one detached computation and publishes its result.
+// PanicError reports a computation that panicked. Flights run on detached
+// goroutines that net/http does not guard, so runFlight recovers the panic
+// into this error instead of letting one bad input exit the process.
+type PanicError struct {
+	Value any    // the recovered panic value
+	Stack []byte // the flight goroutine's stack at the panic
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("internal error: computation panicked: %v", e.Value)
+}
+
+// runFlight executes one detached computation and publishes its result. A
+// panicking computation publishes a *PanicError: like any error it is fanned
+// out to the waiters and never cached.
 func (c *Cache) runFlight(key string, f *flight, fctx context.Context, load func(context.Context) ([]byte, error)) {
 	defer f.cancel() // release the timeout's timer
-	val, err := load(fctx)
+	val, err := recoverLoad(fctx, load)
 
 	c.mu.Lock()
 	// The guard matters when every waiter left early: wait() already
@@ -229,6 +245,16 @@ func (c *Cache) runFlight(key string, f *flight, fctx context.Context, load func
 	}
 	c.mu.Unlock()
 	close(f.done)
+}
+
+// recoverLoad calls load, turning a panic into a *PanicError.
+func recoverLoad(ctx context.Context, load func(context.Context) ([]byte, error)) (val []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			val, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return load(ctx)
 }
 
 // wait blocks one caller on the flight, selecting on the caller's own

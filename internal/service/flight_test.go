@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -312,6 +313,82 @@ func TestFailingFlightFansOutErrorOnce(t *testing.T) {
 		t.Fatalf("second = %d/%q, want 200/miss (errors are not cached)",
 			rec.Code, rec.Header().Get("X-Cache"))
 	}
+}
+
+// TestPanickingFlightAnswers500: a computation that panics is recovered in
+// its detached flight instead of exiting the process. Standalone and as a
+// batch item it answers 500 with an envelope naming the endpoint, the server
+// keeps answering, nothing is cached, and the next identical request
+// recomputes.
+func TestPanickingFlightAnswers500(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	var armed atomic.Bool
+	var calls atomic.Int32
+	s.computeHook = func(endpoint string) func(context.Context) (any, error) {
+		return func(ctx context.Context) (any, error) {
+			calls.Add(1)
+			if armed.Load() {
+				panic("injected panic")
+			}
+			return map[string]string{"ok": "1"}, nil
+		}
+	}
+	alive := func() {
+		t.Helper()
+		if resp, _ := do(t, "GET", ts.URL+"/healthz", nil, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthz after panic = %d", resp.StatusCode)
+		}
+	}
+	wantPanicEnvelope := func(what string, env *errorBody, endpoint string) {
+		t.Helper()
+		if env == nil || !strings.HasPrefix(env.Error, endpoint+": ") || !strings.Contains(env.Error, "panicked") {
+			t.Fatalf("%s envelope = %+v, want an error naming %q and the panic", what, env, endpoint)
+		}
+	}
+
+	t.Run("analyze", func(t *testing.T) {
+		armed.Store(true)
+		calls.Store(0)
+		body := analyzeBody(t, "panics")
+		resp, data := do(t, "POST", ts.URL+"/v1/analyze", body, nil)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("status = %d, want 500; body %s", resp.StatusCode, data)
+		}
+		var env errorBody
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatal(err)
+		}
+		wantPanicEnvelope("analyze", &env, "analyze")
+		alive()
+		armed.Store(false)
+		resp, _ = do(t, "POST", ts.URL+"/v1/analyze", body, nil)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" || calls.Load() != 2 {
+			t.Fatalf("retry = %d/%q after %d computations, want 200/miss after 2",
+				resp.StatusCode, resp.Header.Get("X-Cache"), calls.Load())
+		}
+	})
+
+	t.Run("batch", func(t *testing.T) {
+		armed.Store(true)
+		calls.Store(0)
+		body := batchBody(t, "batch-panics")
+		resp, data := postBatch(t, ts.URL, body)
+		var line BatchItemResult
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(bytes.TrimSpace(data), &line) != nil {
+			t.Fatalf("batch = %d %s, want 200 with one NDJSON line", resp.StatusCode, data)
+		}
+		if line.Status != http.StatusInternalServerError {
+			t.Fatalf("item status = %d, want 500; line %s", line.Status, data)
+		}
+		wantPanicEnvelope("batch item", line.Error, "batch")
+		alive()
+		armed.Store(false)
+		_, data = postBatch(t, ts.URL, body)
+		line = BatchItemResult{}
+		if err := json.Unmarshal(bytes.TrimSpace(data), &line); err != nil || line.Status != http.StatusOK || calls.Load() != 2 {
+			t.Fatalf("retry line %s after %d computations, want status 200 after 2", data, calls.Load())
+		}
+	})
 }
 
 // TestHangingFlightBoundedByTimeout: a computation that ignores every

@@ -148,9 +148,6 @@ func New(cfg Config) *Server {
 	// timeout bounds the shared computation, not the wait of one client.
 	s.cache.FlightTimeout = cfg.RequestTimeout
 
-	// The versioned API, plus the pre-versioning paths as deprecated
-	// aliases onto the same handlers (same cache keys, so the bodies are
-	// byte-identical — only the Deprecation/Link headers differ).
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/depgraph", s.handleDepgraph)
@@ -160,11 +157,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperimentList)
 	s.mux.HandleFunc("GET /v1/oracles", s.handleOracleList)
 	s.mux.HandleFunc("GET /v1/experiments/{id}", s.handleExperiment)
-	s.mux.HandleFunc("POST /analyze", legacy(s.handleAnalyze))
-	s.mux.HandleFunc("POST /depgraph", legacy(s.handleDepgraph))
-	s.mux.HandleFunc("POST /pipeline", legacy(s.handlePipeline))
-	s.mux.HandleFunc("GET /experiments", legacy(s.handleExperimentList))
-	s.mux.HandleFunc("GET /experiments/{id}", legacy(s.handleExperiment))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -175,17 +167,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s
-}
-
-// legacy wraps a /v1 handler for its pre-versioning path: the answer is the
-// v1 answer plus the RFC 8594 Deprecation header and a successor-version
-// Link pointing at the /v1 spelling.
-func legacy(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
-	}
 }
 
 // Metrics exposes the registry (cmd/addsd logs a summary on shutdown).
@@ -412,10 +393,14 @@ func (w *statusWriter) Flush() {
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // endpointLabel buckets paths into a bounded label set so metrics
-// cardinality cannot grow with traffic. The /v1 and legacy spellings share
-// labels.
+// cardinality cannot grow with traffic. API endpoints live under /v1 only: an
+// unversioned spelling such as /analyze is an unrouted path and labels as
+// "other".
 func endpointLabel(path string) string {
-	p := strings.TrimPrefix(path, "/v1")
+	p, versioned := strings.CutPrefix(path, "/v1")
+	if !versioned {
+		p = ""
+	}
 	switch {
 	case p == "/analyze":
 		return "analyze"
@@ -623,6 +608,15 @@ func (s *Server) localResolve(reqCtx context.Context, label, key, prefix string,
 	s.metrics.ObserveCache(outcome)
 	rs.setOutcome(prefix + outcome.String())
 	if err != nil {
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			if outcome == Miss {
+				s.logger.LogAttrs(context.Background(), slog.LevelError, "computation panicked",
+					slog.String("endpoint", label), slog.Any("panic", pe.Value),
+					slog.String("stack", string(pe.Stack)))
+			}
+			err = fmt.Errorf("%s: %w", label, err)
+		}
 		if errors.Is(err, ErrOverloaded) {
 			s.metrics.ObserveShed(label)
 			rs.setShed()

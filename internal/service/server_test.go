@@ -533,6 +533,7 @@ func TestEndpointLabelBounded(t *testing.T) {
 		"/metrics":           "metrics",
 		"/debug/pprof/heap":  "pprof",
 		"/anything/else":     "other",
+		"/analyze":           "other",
 	}
 	for path, want := range cases {
 		if got := endpointLabel(path); got != want {
